@@ -22,6 +22,7 @@ use toreador_data::partition::{PartitionedTable, Partitioning};
 use toreador_dataflow::expr::{col, lit, Expr, Func};
 use toreador_dataflow::logical::Dataflow;
 use toreador_dataflow::session::{Engine, EngineConfig};
+use toreador_dataflow::trace::{RunTrace, TraceEventKind};
 
 const THREADS: usize = 8;
 const PARTITIONS: usize = 8;
@@ -88,6 +89,31 @@ fn engine_with(vectorized: bool, pipelined: bool, data: &PartitionedTable) -> En
     engine
 }
 
+/// The scan span and the tail (output collection and teardown, from the
+/// last operator to the end of the run) of one run, in microseconds, read
+/// off the journal: operator spans are consecutive, so each
+/// `OperatorFinished` covers the time since the previous one finished.
+fn scan_and_tail_us(trace: &RunTrace) -> (u64, u64) {
+    let (mut scan, mut tail, mut last_at) = (0, 0, 0);
+    for e in &trace.events {
+        match &e.kind {
+            TraceEventKind::OperatorFinished {
+                operator,
+                elapsed_us,
+                ..
+            } => {
+                if operator.starts_with("Scan") {
+                    scan += elapsed_us;
+                }
+                last_at = e.at_us;
+            }
+            TraceEventKind::RunFinished { .. } => tail = e.at_us.saturating_sub(last_at),
+            _ => {}
+        }
+    }
+    (scan, tail)
+}
+
 fn print_series() {
     let rows = series_rows();
     let reps = if quick() { 2 } else { 3 };
@@ -104,8 +130,8 @@ fn print_series() {
         THREADS
     );
     eprintln!(
-        "{:>24} {:>12} {:>8} {:>8} {:>9}",
-        "mode", "elapsed ms", "stolen", "skew", "speedup"
+        "{:>24} {:>12} {:>8} {:>8} {:>9} {:>8} {:>8}",
+        "mode", "elapsed ms", "stolen", "skew", "speedup", "scan ms", "tail ms"
     );
     let mut baseline = None;
     for (label, vectorized, pipelined) in [
@@ -118,10 +144,15 @@ fn print_series() {
         let mut best = Duration::MAX;
         let mut stolen = 0u64;
         let mut skew = 0.0f64;
+        let mut scan_tail = (0, 0);
         for _ in 0..reps {
             let started = Instant::now();
             let result = engine.run(&flow).expect("run succeeds");
-            best = best.min(started.elapsed());
+            let elapsed = started.elapsed();
+            if elapsed < best {
+                best = elapsed;
+                scan_tail = scan_and_tail_us(&result.trace);
+            }
             let totals = result.trace.pipeline_totals();
             stolen = totals.stolen;
             skew = if totals.pipelines > 0 {
@@ -173,15 +204,18 @@ fn print_series() {
         }
         let base = *baseline.get_or_insert(best);
         eprintln!(
-            "{:>24} {:>12.2} {:>8} {:>8.2} {:>8.1}x",
+            "{:>24} {:>12.2} {:>8} {:>8.2} {:>8.1}x {:>8.2} {:>8.2}",
             label,
             best.as_secs_f64() * 1e3,
             stolen,
             skew,
-            base.as_secs_f64() / best.as_secs_f64()
+            base.as_secs_f64() / best.as_secs_f64(),
+            scan_tail.0 as f64 / 1e3,
+            scan_tail.1 as f64 / 1e3
         );
     }
     eprintln!("  (stolen: journalled MorselStolen count; skew: straggler factor, 1.0 = balanced)");
+    eprintln!("  (scan, tail: the best run's journalled Scan span and its output-collect + teardown tail)");
 }
 
 fn bench_morsel(c: &mut Criterion) {

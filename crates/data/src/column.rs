@@ -1,13 +1,25 @@
-//! Typed columnar storage.
+//! Typed columnar storage over shared, immutable buffers.
 //!
-//! A [`Column`] stores one attribute of a table in a contiguous `Vec` of the
-//! native type, with a parallel validity bitmap. This keeps scans cache
+//! A [`Column`] stores one attribute of a table as a window onto a shared
+//! [`Buffer`] of the native type (strings: one [`StrBuffer`] of offsets plus
+//! UTF-8 bytes), with a validity bitmap of its own. Scans stay cache
 //! friendly (the Rust Performance Book's "use contiguous collections"
-//! advice) while the row-oriented [`crate::value::Value`] path is reserved
-//! for expression evaluation and shuffles.
+//! advice), and because the buffers are reference counted, cloning a
+//! column, slicing it, or splitting a table into partitions bumps a count
+//! instead of copying values. Dropping a table frees a handful of buffers,
+//! not one allocation per string.
+//!
+//! Mutation is copy-on-write: [`Column::push`] and [`Column::extend_from`]
+//! extend a buffer in place only when no one else holds it and the column's
+//! window starts at its front; otherwise they copy the visible rows first.
+//! Every other operation that produces new rows (`take`, `filter`,
+//! `copy_range`) writes fresh buffers sized to its result. The row-oriented
+//! [`crate::value::Value`] path is reserved for expression evaluation and
+//! shuffles.
 
 use serde::{Deserialize, Serialize};
 
+use crate::buffer::{Buffer, StrBuffer};
 use crate::error::{DataError, Result};
 use crate::value::{DataType, Value};
 
@@ -87,18 +99,23 @@ impl Validity {
         &self.words
     }
 
-    /// Append the bits of `other`. Word-aligned destinations splice whole
-    /// words; unaligned ones fall back to per-bit pushes.
+    /// Append the bits of `other`, a word at a time. Word-aligned
+    /// destinations splice whole words; unaligned ones shift each source
+    /// word across the destination's open word and the next.
     pub fn extend_from(&mut self, other: &Validity) {
-        if self.len % 64 == 0 {
+        let shift = self.len % 64;
+        if shift == 0 {
             self.words.extend_from_slice(&other.words);
-            self.len += other.len;
-            self.null_count += other.null_count;
-            return;
+        } else {
+            for &w in &other.words {
+                *self.words.last_mut().expect("unaligned means non-empty") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
+            // The last pushed word may hold only the source's zero tail.
+            self.words.truncate((self.len + other.len).div_ceil(64));
         }
-        for i in 0..other.len() {
-            self.push(other.get(i));
-        }
+        self.len += other.len;
+        self.null_count += other.null_count;
     }
 
     /// The bits of `start..end` as a new bitmap. All-valid sources take a
@@ -169,28 +186,30 @@ impl Default for Validity {
 
 /// A typed column of values with a validity bitmap.
 ///
-/// The null slots of the data vectors hold an arbitrary default; consumers
-/// must consult the bitmap (or use [`Column::value`], which does).
+/// The values live in shared [`Buffer`]s (strings in one [`StrBuffer`]), so
+/// cloning or slicing a column never copies values. The null slots of the
+/// data buffers hold an arbitrary default; consumers must consult the
+/// bitmap (or use [`Column::value`], which does).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Column {
     Bool {
-        data: Vec<bool>,
+        data: Buffer<bool>,
         validity: Validity,
     },
     Int {
-        data: Vec<i64>,
+        data: Buffer<i64>,
         validity: Validity,
     },
     Float {
-        data: Vec<f64>,
+        data: Buffer<f64>,
         validity: Validity,
     },
     Str {
-        data: Vec<String>,
+        data: StrBuffer,
         validity: Validity,
     },
     Timestamp {
-        data: Vec<i64>,
+        data: Buffer<i64>,
         validity: Validity,
     },
 }
@@ -198,52 +217,32 @@ pub enum Column {
 impl Column {
     /// An empty column of the given type.
     pub fn empty(ty: DataType) -> Self {
-        match ty {
-            DataType::Bool => Column::Bool {
-                data: Vec::new(),
-                validity: Validity::new(),
-            },
-            DataType::Int => Column::Int {
-                data: Vec::new(),
-                validity: Validity::new(),
-            },
-            DataType::Float => Column::Float {
-                data: Vec::new(),
-                validity: Validity::new(),
-            },
-            DataType::Str => Column::Str {
-                data: Vec::new(),
-                validity: Validity::new(),
-            },
-            DataType::Timestamp => Column::Timestamp {
-                data: Vec::new(),
-                validity: Validity::new(),
-            },
-        }
+        Column::with_capacity(ty, 0)
     }
 
     /// An empty column with reserved capacity.
     pub fn with_capacity(ty: DataType, cap: usize) -> Self {
+        let validity = Validity::new();
         match ty {
             DataType::Bool => Column::Bool {
-                data: Vec::with_capacity(cap),
-                validity: Validity::new(),
+                data: Buffer::with_capacity(cap),
+                validity,
             },
             DataType::Int => Column::Int {
-                data: Vec::with_capacity(cap),
-                validity: Validity::new(),
+                data: Buffer::with_capacity(cap),
+                validity,
             },
             DataType::Float => Column::Float {
-                data: Vec::with_capacity(cap),
-                validity: Validity::new(),
+                data: Buffer::with_capacity(cap),
+                validity,
             },
             DataType::Str => Column::Str {
-                data: Vec::with_capacity(cap),
-                validity: Validity::new(),
+                data: StrBuffer::with_capacity(cap),
+                validity,
             },
             DataType::Timestamp => Column::Timestamp {
-                data: Vec::with_capacity(cap),
-                validity: Validity::new(),
+                data: Buffer::with_capacity(cap),
+                validity,
             },
         }
     }
@@ -260,28 +259,42 @@ impl Column {
     /// Convenience constructors from native vectors (all-valid).
     pub fn from_ints(data: Vec<i64>) -> Self {
         let validity = Validity::all_valid(data.len());
-        Column::Int { data, validity }
+        Column::Int {
+            data: data.into(),
+            validity,
+        }
     }
 
     pub fn from_floats(data: Vec<f64>) -> Self {
         let validity = Validity::all_valid(data.len());
-        Column::Float { data, validity }
+        Column::Float {
+            data: data.into(),
+            validity,
+        }
     }
 
     pub fn from_bools(data: Vec<bool>) -> Self {
         let validity = Validity::all_valid(data.len());
-        Column::Bool { data, validity }
+        Column::Bool {
+            data: data.into(),
+            validity,
+        }
     }
 
-    pub fn from_strs<S: Into<String>>(data: Vec<S>) -> Self {
-        let data: Vec<String> = data.into_iter().map(Into::into).collect();
+    pub fn from_strs<S: AsRef<str>>(data: Vec<S>) -> Self {
         let validity = Validity::all_valid(data.len());
-        Column::Str { data, validity }
+        Column::Str {
+            data: data.iter().collect(),
+            validity,
+        }
     }
 
     pub fn from_timestamps(data: Vec<i64>) -> Self {
         let validity = Validity::all_valid(data.len());
-        Column::Timestamp { data, validity }
+        Column::Timestamp {
+            data: data.into(),
+            validity,
+        }
     }
 
     pub fn data_type(&self) -> DataType {
@@ -317,6 +330,7 @@ impl Column {
     }
 
     /// Append a value, coercing to the column type; `Null` appends a null.
+    /// Copies the column's buffers first when they are shared.
     pub fn push(&mut self, value: &Value) -> Result<()> {
         if value.is_null() {
             self.push_null();
@@ -336,7 +350,7 @@ impl Column {
                 validity.push(true);
             }
             Column::Str { data, validity } => {
-                data.push(value.as_str()?.to_owned());
+                data.push(value.as_str()?);
                 validity.push(true);
             }
             Column::Timestamp { data, validity } => {
@@ -363,7 +377,7 @@ impl Column {
                 validity.push(false);
             }
             Column::Str { data, validity } => {
-                data.push(String::new());
+                data.push("");
                 validity.push(false);
             }
         }
@@ -384,7 +398,7 @@ impl Column {
             Column::Bool { data, .. } => Value::Bool(data[index]),
             Column::Int { data, .. } => Value::Int(data[index]),
             Column::Float { data, .. } => Value::Float(data[index]),
-            Column::Str { data, .. } => Value::Str(data[index].clone()),
+            Column::Str { data, .. } => Value::Str(data[index].to_owned()),
             Column::Timestamp { data, .. } => Value::Timestamp(data[index]),
         })
     }
@@ -413,47 +427,43 @@ impl Column {
         self.gather(sel.iter().map(|&i| i as usize))
     }
 
+    /// The rows at `indices`, copied into fresh buffers sized to them.
     fn gather(&self, indices: impl Iterator<Item = usize> + Clone) -> Column {
-        fn pick<T: Clone + Default>(
-            data: &[T],
-            validity: &Validity,
-            indices: impl Iterator<Item = usize> + Clone,
-        ) -> (Vec<T>, Validity) {
+        let pick_validity = |validity: &Validity| {
             if validity.null_count() == 0 {
-                let out: Vec<T> = indices.map(|i| data[i].clone()).collect();
-                let v = Validity::all_valid(out.len());
-                (out, v)
+                Validity::all_valid(indices.clone().count())
             } else {
-                let mut out = Vec::with_capacity(indices.size_hint().0);
                 let mut v = Validity::new();
-                for i in indices {
-                    out.push(data[i].clone());
+                for i in indices.clone() {
                     v.push(validity.get(i));
                 }
-                (out, v)
+                v
             }
+        };
+        fn pick<T: Copy>(data: &[T], indices: impl Iterator<Item = usize>) -> Buffer<T> {
+            indices.map(|i| data[i]).collect()
         }
         match self {
-            Column::Bool { data, validity } => {
-                let (data, validity) = pick(data, validity, indices);
-                Column::Bool { data, validity }
-            }
-            Column::Int { data, validity } => {
-                let (data, validity) = pick(data, validity, indices);
-                Column::Int { data, validity }
-            }
-            Column::Float { data, validity } => {
-                let (data, validity) = pick(data, validity, indices);
-                Column::Float { data, validity }
-            }
-            Column::Str { data, validity } => {
-                let (data, validity) = pick(data, validity, indices);
-                Column::Str { data, validity }
-            }
-            Column::Timestamp { data, validity } => {
-                let (data, validity) = pick(data, validity, indices);
-                Column::Timestamp { data, validity }
-            }
+            Column::Bool { data, validity } => Column::Bool {
+                validity: pick_validity(validity),
+                data: pick(data, indices),
+            },
+            Column::Int { data, validity } => Column::Int {
+                validity: pick_validity(validity),
+                data: pick(data, indices),
+            },
+            Column::Float { data, validity } => Column::Float {
+                validity: pick_validity(validity),
+                data: pick(data, indices),
+            },
+            Column::Str { data, validity } => Column::Str {
+                validity: pick_validity(validity),
+                data: data.gather(indices),
+            },
+            Column::Timestamp { data, validity } => Column::Timestamp {
+                validity: pick_validity(validity),
+                data: pick(data, indices),
+            },
         }
     }
 
@@ -473,8 +483,9 @@ impl Column {
         Ok(self.gather(indices.iter().copied()))
     }
 
-    /// A copy of rows `range.start..range.end` — a contiguous memcpy of the
-    /// data plus a word-shifted validity slice, not a per-row gather.
+    /// A view of rows `start..end`: it shares this column's value buffers
+    /// (no value is copied) and keeps them alive as long as it lives. Only
+    /// the validity bits are copied, word by word.
     pub fn slice(&self, start: usize, end: usize) -> Result<Column> {
         if end > self.len() || start > end {
             return Err(DataError::RowIndexOutOfBounds {
@@ -482,41 +493,45 @@ impl Column {
                 len: self.len(),
             });
         }
-        fn cut<T: Clone>(
-            data: &[T],
-            validity: &Validity,
-            start: usize,
-            end: usize,
-        ) -> (Vec<T>, Validity) {
-            (data[start..end].to_vec(), validity.slice_range(start, end))
-        }
+        let validity = self.validity().slice_range(start, end);
         Ok(match self {
-            Column::Bool { data, validity } => {
-                let (data, validity) = cut(data, validity, start, end);
-                Column::Bool { data, validity }
-            }
-            Column::Int { data, validity } => {
-                let (data, validity) = cut(data, validity, start, end);
-                Column::Int { data, validity }
-            }
-            Column::Float { data, validity } => {
-                let (data, validity) = cut(data, validity, start, end);
-                Column::Float { data, validity }
-            }
-            Column::Str { data, validity } => {
-                let (data, validity) = cut(data, validity, start, end);
-                Column::Str { data, validity }
-            }
-            Column::Timestamp { data, validity } => {
-                let (data, validity) = cut(data, validity, start, end);
-                Column::Timestamp { data, validity }
-            }
+            Column::Bool { data, .. } => Column::Bool {
+                data: data.slice(start, end),
+                validity,
+            },
+            Column::Int { data, .. } => Column::Int {
+                data: data.slice(start, end),
+                validity,
+            },
+            Column::Float { data, .. } => Column::Float {
+                data: data.slice(start, end),
+                validity,
+            },
+            Column::Str { data, .. } => Column::Str {
+                data: data.slice(start, end),
+                validity,
+            },
+            Column::Timestamp { data, .. } => Column::Timestamp {
+                data: data.slice(start, end),
+                validity,
+            },
         })
+    }
+
+    /// Rows `start..end` copied into fresh buffers sized to them, so the
+    /// result keeps none of this column's buffers alive.
+    pub fn copy_range(&self, start: usize, end: usize) -> Result<Column> {
+        let mut out = Column::with_capacity(self.data_type(), end.saturating_sub(start));
+        out.extend_from(&self.slice(start, end)?)?;
+        Ok(out)
     }
 
     /// Append all rows of `other` (same type required). Bulk lane copies —
     /// no per-row `Value` round trip, so concatenating many chunks (the
-    /// morsel pipeline's reassembly step) costs a memcpy per lane.
+    /// morsel pipeline's reassembly step) costs a memcpy per lane. When
+    /// `other` is the window right after this one in the same buffer (a
+    /// split being collected back), the window widens and nothing is
+    /// copied.
     pub fn extend_from(&mut self, other: &Column) -> Result<()> {
         use Column::*;
         match (&mut *self, other) {
@@ -527,7 +542,7 @@ impl Column {
                     validity: ov,
                 },
             ) => {
-                data.extend_from_slice(od);
+                data.append(od);
                 validity.extend_from(ov);
             }
             (
@@ -544,7 +559,7 @@ impl Column {
                     validity: ov,
                 },
             ) => {
-                data.extend_from_slice(od);
+                data.append(od);
                 validity.extend_from(ov);
             }
             (
@@ -554,7 +569,7 @@ impl Column {
                     validity: ov,
                 },
             ) => {
-                data.extend_from_slice(od);
+                data.append(od);
                 validity.extend_from(ov);
             }
             (
@@ -564,7 +579,7 @@ impl Column {
                     validity: ov,
                 },
             ) => {
-                data.extend_from_slice(od);
+                data.append(od);
                 validity.extend_from(ov);
             }
             _ => {
@@ -577,6 +592,30 @@ impl Column {
         Ok(())
     }
 
+    /// Rough footprint of this column's own rows in bytes: 1 per bool, 8
+    /// per number, and `len + 24` per string (the size of the owned
+    /// `String` each one used to be). A view counts only its rows, never
+    /// the rest of the buffer it shares.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            Column::Bool { data, .. } => data.len(),
+            Column::Int { data, .. } | Column::Timestamp { data, .. } => data.len() * 8,
+            Column::Float { data, .. } => data.len() * 8,
+            Column::Str { data, .. } => data.value_bytes() + data.len() * 24,
+        }
+    }
+
+    /// Bytes of the whole value buffers this column keeps alive. A view
+    /// retains its parent's full buffers, so this can exceed what its own
+    /// rows need; the validity bitmap is not counted.
+    pub fn retained_bytes(&self) -> usize {
+        match self {
+            Column::Bool { data, .. } => data.retained_bytes(),
+            Column::Int { data, .. } | Column::Timestamp { data, .. } => data.retained_bytes(),
+            Column::Float { data, .. } => data.retained_bytes(),
+            Column::Str { data, .. } => data.retained_bytes(),
+        }
+    }
     /// Sum of a numeric column, skipping nulls. Errors on non-numeric.
     pub fn sum_f64(&self) -> Result<f64> {
         match self {
@@ -618,7 +657,7 @@ impl Column {
     /// Borrow the raw float data (and validity) when this is a Float column.
     pub fn as_floats(&self) -> Result<(&[f64], &Validity)> {
         match self {
-            Column::Float { data, validity } => Ok((data, validity)),
+            Column::Float { data, validity } => Ok((data.as_slice(), validity)),
             other => Err(DataError::TypeMismatch {
                 expected: "Float".to_owned(),
                 found: other.data_type().name().to_owned(),
@@ -629,7 +668,7 @@ impl Column {
     /// Borrow the raw int data (and validity) when this is an Int column.
     pub fn as_ints(&self) -> Result<(&[i64], &Validity)> {
         match self {
-            Column::Int { data, validity } => Ok((data, validity)),
+            Column::Int { data, validity } => Ok((data.as_slice(), validity)),
             other => Err(DataError::TypeMismatch {
                 expected: "Int".to_owned(),
                 found: other.data_type().name().to_owned(),
@@ -638,7 +677,7 @@ impl Column {
     }
 
     /// Borrow the raw string data (and validity) when this is a Str column.
-    pub fn as_strs(&self) -> Result<(&[String], &Validity)> {
+    pub fn as_strs(&self) -> Result<(&StrBuffer, &Validity)> {
         match self {
             Column::Str { data, validity } => Ok((data, validity)),
             other => Err(DataError::TypeMismatch {
@@ -651,7 +690,7 @@ impl Column {
     /// Borrow the raw bool data (and validity) when this is a Bool column.
     pub fn as_bools(&self) -> Result<(&[bool], &Validity)> {
         match self {
-            Column::Bool { data, validity } => Ok((data, validity)),
+            Column::Bool { data, validity } => Ok((data.as_slice(), validity)),
             other => Err(DataError::TypeMismatch {
                 expected: "Bool".to_owned(),
                 found: other.data_type().name().to_owned(),
@@ -663,7 +702,7 @@ impl Column {
     /// Timestamp column.
     pub fn as_timestamps(&self) -> Result<(&[i64], &Validity)> {
         match self {
-            Column::Timestamp { data, validity } => Ok((data, validity)),
+            Column::Timestamp { data, validity } => Ok((data.as_slice(), validity)),
             other => Err(DataError::TypeMismatch {
                 expected: "Timestamp".to_owned(),
                 found: other.data_type().name().to_owned(),
@@ -893,6 +932,31 @@ mod tests {
     }
 
     #[test]
+    fn json_shape_is_the_owned_vec_shape_for_views_too() {
+        let c = Column::from_values(
+            DataType::Str,
+            &[
+                Value::Str("a".into()),
+                Value::Null,
+                Value::Str(String::new()),
+            ],
+        )
+        .unwrap();
+        let json =
+            r#"{"Str":{"data":["a","",""],"validity":{"words":[5],"len":3,"null_count":1}}}"#;
+        assert_eq!(serde_json::to_string(&c).unwrap(), json);
+        let back: Column = serde_json::from_str(json).unwrap();
+        assert_eq!(back, c);
+        // A view serializes only its own rows.
+        let wide = Column::from_values(DataType::Int, &[Value::Int(9), Value::Int(4), Value::Null])
+            .unwrap();
+        assert_eq!(
+            serde_json::to_string(&wide.slice(1, 3).unwrap()).unwrap(),
+            r#"{"Int":{"data":[4,0],"validity":{"words":[1],"len":2,"null_count":1}}}"#
+        );
+    }
+
+    #[test]
     fn raw_accessors() {
         let c = Column::from_floats(vec![1.5, 2.5]);
         let (d, v) = c.as_floats().unwrap();
@@ -900,6 +964,6 @@ mod tests {
         assert_eq!(v.null_count(), 0);
         assert!(c.as_ints().is_err());
         let c = Column::from_strs(vec!["a"]);
-        assert_eq!(c.as_strs().unwrap().0[0], "a");
+        assert_eq!(&c.as_strs().unwrap().0[0], "a");
     }
 }

@@ -7,7 +7,10 @@
 //! * [`value::Value`] / [`value::DataType`] — dynamically typed scalars, the
 //!   row-oriented currency of expression evaluation and shuffles;
 //! * [`schema::Schema`] / [`schema::Field`] — named, typed record schemas;
-//! * [`column::Column`] — typed columnar vectors with validity bitmaps;
+//! * [`buffer::Buffer`] / [`buffer::StrBuffer`] — shared, sliceable,
+//!   copy-on-write value buffers (strings as offsets plus bytes);
+//! * [`column::Column`] — typed columnar vectors with validity bitmaps,
+//!   whose clones and slices share their buffers;
 //! * [`table::Table`] — immutable rectangular batches with relational
 //!   kernels (project / filter / take / sort / concat);
 //! * [`partition::PartitionedTable`] — horizontal partitioning, the unit of
@@ -36,6 +39,7 @@
 //! assert!(purchases.num_rows() > 0);
 //! ```
 
+pub mod buffer;
 pub mod column;
 pub mod csv;
 pub mod error;

@@ -47,7 +47,9 @@ impl PartitionedTable {
     /// Split a single table into `n` equal-size contiguous chunks.
     ///
     /// Produces exactly `n` partitions (trailing ones may be empty) so that
-    /// task counts are predictable.
+    /// task counts are predictable. Each chunk is a view sharing `table`'s
+    /// buffers, so splitting copies no values, and [`Self::collect`] joins
+    /// the chunks back without copying either.
     pub fn split(table: Table, n: usize) -> Result<Self> {
         if n == 0 {
             return Err(DataError::Invalid(

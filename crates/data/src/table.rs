@@ -176,7 +176,9 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Copy of rows `start..end`.
+    /// A view of rows `start..end` that shares this table's buffers; see
+    /// [`Column::slice`]. It keeps the whole buffers alive, so a small
+    /// result that outlives a large input should use [`Table::copy_range`].
     pub fn slice(&self, start: usize, end: usize) -> Result<Table> {
         let columns = self
             .columns
@@ -186,7 +188,19 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Concatenate tables with identical schemas.
+    /// Rows `start..end` copied into fresh buffers sized to them.
+    pub fn copy_range(&self, start: usize, end: usize) -> Result<Table> {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| c.copy_range(start, end))
+            .collect::<Result<Vec<_>>>()?;
+        Table::new(self.schema.clone(), columns)
+    }
+
+    /// Concatenate tables with identical schemas. One part comes back as
+    /// a view of the same buffers, and parts that are adjacent windows of
+    /// one buffer (the partitions of a split) join without copying.
     pub fn concat(parts: &[Table]) -> Result<Table> {
         let first = parts
             .first()
@@ -203,6 +217,12 @@ impl Table {
 
     /// Stable sort by the named columns (all ascending unless `descending`).
     pub fn sort_by(&self, keys: &[&str], descending: bool) -> Result<Table> {
+        self.take(&self.sorted_indices(keys, descending)?)
+    }
+
+    /// The row order [`Table::sort_by`] produces, as row indices, so a
+    /// caller that keeps only the first rows gathers only those.
+    pub fn sorted_indices(&self, keys: &[&str], descending: bool) -> Result<Vec<usize>> {
         let key_cols: Vec<&Column> = keys
             .iter()
             .map(|k| self.column(k))
@@ -224,7 +244,7 @@ impl Table {
                 ord
             }
         });
-        self.take(&indices)
+        Ok(indices)
     }
 
     /// Append a computed column.
@@ -255,17 +275,10 @@ impl Table {
         self.project(&names)
     }
 
-    /// Rough in-memory footprint in bytes (used by quota accounting).
+    /// Rough in-memory footprint of this table's own rows in bytes (used
+    /// by quota accounting); see [`Column::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c {
-                Column::Bool { data, .. } => data.len(),
-                Column::Int { data, .. } | Column::Timestamp { data, .. } => data.len() * 8,
-                Column::Float { data, .. } => data.len() * 8,
-                Column::Str { data, .. } => data.iter().map(|s| s.len() + 24).sum(),
-            })
-            .sum()
+        self.columns.iter().map(Column::approx_bytes).sum()
     }
 
     /// Render the first `limit` rows as an aligned text grid (for examples
@@ -577,5 +590,39 @@ mod tests {
     #[test]
     fn approx_bytes_is_positive() {
         assert!(people().approx_bytes() > 0);
+    }
+
+    fn retained(t: &Table) -> usize {
+        t.columns().iter().map(Column::retained_bytes).sum()
+    }
+
+    #[test]
+    fn approx_bytes_counts_only_a_views_rows() {
+        let t = people();
+        // id 8 + age 8 + name ("ada", "bob", "eve": 3 + 24 each) per row.
+        assert_eq!(t.approx_bytes(), 3 * (8 + 8 + 27));
+        let view = t.slice(1, 3).unwrap();
+        assert_eq!(view.approx_bytes(), 2 * (8 + 8 + 27));
+        assert_eq!(
+            view.approx_bytes(),
+            view.copy_range(0, 2).unwrap().approx_bytes()
+        );
+        assert_eq!(t.slice(2, 2).unwrap().approx_bytes(), 0);
+        // The view still retains the whole parent buffers; a copy does not.
+        assert_eq!(retained(&view), retained(&t));
+        assert!(retained(&t.copy_range(1, 3).unwrap()) < retained(&t));
+    }
+
+    #[test]
+    fn clone_slice_and_split_concat_share_buffers() {
+        let t = people();
+        let parts = [t.slice(0, 1).unwrap(), t.slice(1, 3).unwrap()];
+        let joined = Table::concat(&parts).unwrap();
+        assert_eq!(joined, t);
+        assert_eq!(retained(&joined), retained(&t));
+        // Out-of-order parts cannot join in place and are copied.
+        let swapped = Table::concat(&[parts[1].clone(), parts[0].clone()]).unwrap();
+        assert_eq!(swapped.value(2, "name").unwrap(), Value::Str("ada".into()));
+        assert_eq!(t.value(0, "name").unwrap(), Value::Str("ada".into()));
     }
 }

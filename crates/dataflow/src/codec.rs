@@ -28,6 +28,7 @@ use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use toreador_data::buffer::StrBuffer;
 use toreador_data::column::{Column, Validity};
 use toreador_data::schema::Schema;
 use toreador_data::table::{Table, TableBuilder};
@@ -148,7 +149,7 @@ pub enum Lane<'a> {
     Bool(&'a [bool], &'a Validity),
     Int(&'a [i64], &'a Validity),
     Float(&'a [f64], &'a Validity),
-    Str(&'a [String], &'a Validity),
+    Str(&'a StrBuffer, &'a Validity),
     Ts(&'a [i64], &'a Validity),
 }
 
@@ -198,9 +199,10 @@ pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut BytesMut) {
         }
         Lane::Str(data, validity) => {
             if validity.get(i) {
+                let s = data.get(i);
                 buf.put_u8(TAG_STR);
-                buf.put_u32_le(data[i].len() as u32);
-                buf.put_slice(data[i].as_bytes());
+                buf.put_u32_le(s.len() as u32);
+                buf.put_slice(s.as_bytes());
             } else {
                 buf.put_u8(TAG_NULL);
             }

@@ -551,11 +551,7 @@ pub(crate) fn run_wave<B: PipelineBody>(
                 None => return Err(FlowError::Cancelled("task result missing".to_owned())),
             }
         }
-        out.push(if chunks.len() == 1 {
-            chunks.pop().expect("one chunk")
-        } else {
-            Table::concat(&chunks).map_err(FlowError::Data)?
-        });
+        out.push(Table::concat(&chunks).map_err(FlowError::Data)?);
     }
     let slowest = busy
         .iter()

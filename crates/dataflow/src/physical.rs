@@ -1709,16 +1709,17 @@ fn exec_top_k(
         .iter()
         .map(|t| {
             move || {
-                let sorted = t.sort_by(key_refs_ref, descending)?;
-                let take = sorted.num_rows().min(n);
-                sorted.slice(0, take).map_err(FlowError::Data)
+                let order = t.sorted_indices(key_refs_ref, descending)?;
+                t.take(&order[..order.len().min(n)])
+                    .map_err(FlowError::Data)
             }
         })
         .collect();
     let locals = ctx.run_stage(stage, tasks)?;
-    let merged = Table::concat(&locals)?.sort_by(&key_refs, descending)?;
-    let take = merged.num_rows().min(n);
-    let out = merged.slice(0, take)?;
+    // Gather only the kept rows, so the result pins no sorted temporary.
+    let merged = Table::concat(&locals)?;
+    let order = merged.sorted_indices(&key_refs, descending)?;
+    let out = merged.take(&order[..order.len().min(n)])?;
     ctx.metrics
         .record_node(desc, stage, out.num_rows() as u64, started.elapsed(), 0);
     Ok(PartitionedTable::single(out))
@@ -1738,7 +1739,8 @@ fn exec_limit(
             break;
         }
         let take = part.num_rows().min(remaining);
-        kept.push(part.slice(0, take)?);
+        // A copy, not a view: the limit must not pin its whole input.
+        kept.push(part.copy_range(0, take)?);
         remaining -= take;
     }
     if kept.is_empty() {
@@ -1992,6 +1994,30 @@ mod tests {
         execute(&ctx, fused.plan()).unwrap();
         let m = metrics2.finish(std::time::Duration::from_millis(1), 7, 1);
         assert_eq!(m.total_shuffle_bytes(), 0, "top-k must not shuffle");
+    }
+
+    #[test]
+    fn top_k_and_limit_results_hold_only_their_own_rows() {
+        // Scans share the input's buffers, so a result that kept a view of
+        // a sorted or scanned temporary would retain the whole of it. Each
+        // result's buffers must be exactly what a fresh copy of its rows
+        // needs.
+        let (datasets, metrics) = ctx_fixture();
+        let top_k = Dataflow::scan("t", schema_t())
+            .sort(&["v"], true)
+            .unwrap()
+            .limit(3);
+        let limit = Dataflow::scan("t", schema_t()).limit(3);
+        for flow in [top_k, limit] {
+            let out = run(&datasets, &metrics, &flow);
+            assert_eq!(out.num_rows(), 3);
+            for c in out.columns() {
+                let fresh =
+                    Column::from_values(c.data_type(), &c.iter_values().collect::<Vec<_>>())
+                        .unwrap();
+                assert_eq!(c.retained_bytes(), fresh.retained_bytes(), "{flow:?}");
+            }
+        }
     }
 
     #[test]

@@ -593,7 +593,7 @@ mod tests {
         }
         // The integral-float rule survives the lane path.
         let col = Column::Float {
-            data: vec![7.0, 2.5, f64::NAN, -0.0],
+            data: vec![7.0, 2.5, f64::NAN, -0.0].into(),
             validity: toreador_data::column::Validity::all_valid(4),
         };
         let codes = column_hash_codes(&col);

@@ -132,8 +132,7 @@ pub fn split_on_time(
     watermark: Option<i64>,
 ) -> Result<(Table, Table)> {
     let Some(w) = watermark else {
-        let empty = batch.slice(0, 0).map_err(FlowError::Data)?;
-        return Ok((batch.clone(), empty));
+        return Ok((batch.clone(), Table::empty(batch.schema().clone())));
     };
     let ts = batch.column(ts_column)?;
     let mut on_time = Vec::new();

@@ -156,7 +156,7 @@ fn coerce_column(c: Column, ty: DataType) -> Result<Column> {
     }
     match (c, ty) {
         (Column::Int { data, validity }, DataType::Float) => Ok(Column::Float {
-            data: data.into_iter().map(|i| i as f64).collect(),
+            data: data.iter().map(|&i| i as f64).collect(),
             validity,
         }),
         (c, ty) => Err(internal(&format!(
@@ -178,23 +178,23 @@ fn broadcast(v: &Value, ty: DataType, m: usize) -> Column {
     let validity = Validity::all_valid(m);
     match v {
         Value::Bool(b) => Column::Bool {
-            data: vec![*b; m],
+            data: vec![*b; m].into(),
             validity,
         },
         Value::Int(i) => Column::Int {
-            data: vec![*i; m],
+            data: vec![*i; m].into(),
             validity,
         },
         Value::Float(x) => Column::Float {
-            data: vec![*x; m],
+            data: vec![*x; m].into(),
             validity,
         },
         Value::Str(s) => Column::Str {
-            data: vec![s.clone(); m],
+            data: std::iter::repeat(s.as_str()).take(m).collect(),
             validity,
         },
         Value::Timestamp(t) => Column::Timestamp {
-            data: vec![*t; m],
+            data: vec![*t; m].into(),
             validity,
         },
         Value::Null => unreachable!(),
@@ -677,7 +677,10 @@ impl BoundExpr {
                 };
                 push_logic(op, lval, rval, &mut data, &mut validity);
             }
-            return Ok(Batch::Owned(Column::Bool { data, validity }));
+            return Ok(Batch::Owned(Column::Bool {
+                data: data.into(),
+                validity,
+            }));
         }
         let rb = right.eval_cols(cols, n, sel)?.force();
         let mut data = Vec::with_capacity(m);
@@ -706,7 +709,10 @@ impl BoundExpr {
                 }
             }
         }
-        Ok(Batch::Owned(Column::Bool { data, validity }))
+        Ok(Batch::Owned(Column::Bool {
+            data: data.into(),
+            validity,
+        }))
     }
 
     /// COALESCE, evaluated lazily arg-by-arg over the shrinking selection
@@ -968,7 +974,7 @@ fn decide(op: BinOp) -> fn(Ordering) -> bool {
 
 fn cmp_by(op: BinOp, validity: Validity, m: usize, ord: impl Fn(usize) -> Ordering) -> Column {
     let d = decide(op);
-    let data: Vec<bool> = (0..m).map(|i| d(ord(i))).collect();
+    let data = (0..m).map(|i| d(ord(i))).collect();
     Column::Bool { data, validity }
 }
 
@@ -1200,7 +1206,7 @@ fn arith_dispatch(
                 BinOp::Mul => |a, b| a * b,
                 _ => unreachable!(),
             };
-            let data: Vec<f64> = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
+            let data = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
             Ok(Column::Float {
                 data,
                 validity: both_valid,
@@ -1221,7 +1227,10 @@ fn arith_dispatch(
                     validity.push(true);
                 }
             }
-            Ok(Column::Float { data, validity })
+            Ok(Column::Float {
+                data: data.into(),
+                validity,
+            })
         }
         _ => Err(internal("arith kernel got a non-arithmetic op")),
     }
@@ -1268,7 +1277,7 @@ fn arith_int(op: BinOp, lb: &Batch<'_>, rb: &Batch<'_>, m: usize) -> Result<Colu
                 BinOp::Mul => i64::wrapping_mul,
                 _ => unreachable!(),
             };
-            let data: Vec<i64> = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
+            let data = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
             Ok(Column::Int {
                 data,
                 validity: both_valid,
@@ -1287,7 +1296,10 @@ fn arith_int(op: BinOp, lb: &Batch<'_>, rb: &Batch<'_>, m: usize) -> Result<Colu
                     validity.push(true);
                 }
             }
-            Ok(Column::Int { data, validity })
+            Ok(Column::Int {
+                data: data.into(),
+                validity,
+            })
         }
         _ => Err(internal("int lane got a non-int op")),
     }
@@ -1407,7 +1419,7 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
                 _ => return Err(internal("Sqrt on a non-numeric column")),
             };
             Column::Float {
-                data,
+                data: data.into(),
                 validity: validity.clone(),
             }
         }
@@ -1431,7 +1443,10 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
                     validity.push(false);
                 }
             }
-            Column::Float { data, validity }
+            Column::Float {
+                data: data.into(),
+                validity,
+            }
         }
         Func::Lower | Func::Upper => {
             let (d, v) = c.as_strs().map_err(FlowError::Data)?;
@@ -1492,8 +1507,8 @@ fn cast_kernel(c: &Column, to: DataType) -> Result<Column> {
     Ok(match to {
         DataType::Str => {
             let validity = c.validity().clone();
-            let data: Vec<String> = match c {
-                Column::Str { data, .. } => data.clone(),
+            let data = match c {
+                Column::Str { .. } => return Ok(c.clone()),
                 Column::Bool { data, validity } => (0..m)
                     .map(|i| {
                         if validity.get(i) {
@@ -1545,14 +1560,14 @@ fn cast_kernel(c: &Column, to: DataType) -> Result<Column> {
                         out.push(
                             s.trim()
                                 .parse::<i64>()
-                                .map_err(|_| cast_err(Value::Str(s.clone())))?,
+                                .map_err(|_| cast_err(Value::Str(s.to_owned())))?,
                         );
                     } else {
                         out.push(0);
                     }
                 }
                 Column::Int {
-                    data: out,
+                    data: out.into(),
                     validity: validity.clone(),
                 }
             }
@@ -1570,14 +1585,14 @@ fn cast_kernel(c: &Column, to: DataType) -> Result<Column> {
                         out.push(
                             s.trim()
                                 .parse::<f64>()
-                                .map_err(|_| cast_err(Value::Str(s.clone())))?,
+                                .map_err(|_| cast_err(Value::Str(s.to_owned())))?,
                         );
                     } else {
                         out.push(0.0);
                     }
                 }
                 Column::Float {
-                    data: out,
+                    data: out.into(),
                     validity: validity.clone(),
                 }
             }
