@@ -17,6 +17,8 @@
 //! [`crate::value::Value`] path is reserved for expression evaluation and
 //! shuffles.
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use crate::buffer::{Buffer, StrBuffer};
@@ -406,6 +408,26 @@ impl Column {
     /// Iterate the column as `Value`s (nulls included).
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.value(i).expect("index in range"))
+    }
+
+    /// Compare rows `a` and `b` in [`Value::total_cmp`] order, reading the
+    /// native lanes: null first, Float by `f64::total_cmp` (`-0.0 < 0.0`,
+    /// NaN after every other float), strings by bytes. Panics when either
+    /// row is out of range.
+    pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        let validity = self.validity();
+        match (validity.get(a), validity.get(b)) {
+            (false, false) => return Ordering::Equal,
+            (false, true) => return Ordering::Less,
+            (true, false) => return Ordering::Greater,
+            (true, true) => {}
+        }
+        match self {
+            Column::Bool { data, .. } => data[a].cmp(&data[b]),
+            Column::Int { data, .. } | Column::Timestamp { data, .. } => data[a].cmp(&data[b]),
+            Column::Float { data, .. } => data[a].total_cmp(&data[b]),
+            Column::Str { data, .. } => data.get(a).cmp(data.get(b)),
+        }
     }
 
     /// Gather the rows at `indices` into a new column (typed fast path, no

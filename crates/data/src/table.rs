@@ -221,7 +221,9 @@ impl Table {
     }
 
     /// The row order [`Table::sort_by`] produces, as row indices, so a
-    /// caller that keeps only the first rows gathers only those.
+    /// caller that keeps only the first rows gathers only those. Keys
+    /// compare in [`Value::total_cmp`] order on their native lanes (see
+    /// [`Column::cmp_rows`]); equal rows keep their input order.
     pub fn sorted_indices(&self, keys: &[&str], descending: bool) -> Result<Vec<usize>> {
         let key_cols: Vec<&Column> = keys
             .iter()
@@ -229,15 +231,11 @@ impl Table {
             .collect::<Result<Vec<_>>>()?;
         let mut indices: Vec<usize> = (0..self.rows).collect();
         indices.sort_by(|&a, &b| {
-            let mut ord = std::cmp::Ordering::Equal;
-            for col in &key_cols {
-                let va = col.value(a).expect("in range");
-                let vb = col.value(b).expect("in range");
-                ord = va.total_cmp(&vb);
-                if ord != std::cmp::Ordering::Equal {
-                    break;
-                }
-            }
+            let ord = key_cols
+                .iter()
+                .map(|col| col.cmp_rows(a, b))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal);
             if descending {
                 ord.reverse()
             } else {

@@ -191,6 +191,37 @@ proptest! {
     }
 
     #[test]
+    fn sorted_indices_on_a_view_match_a_value_reference_order(
+        rows in 0usize..200,
+        null_pct in 0u32..60,
+        seed in any::<u64>(),
+        (a, b) in (any::<usize>(), any::<usize>()),
+        keys in proptest::collection::vec(0usize..5, 1..4),
+        desc in any::<bool>(),
+    ) {
+        // Floats here include -0.0, 0.0 and NaN, so the lane compare must
+        // keep `Value::total_cmp`'s float order, not `==`.
+        let parent = with_special_floats(&table(rows, null_pct, seed), seed);
+        let (start, end) = window(rows, a, b);
+        let view = parent.slice(start, end).unwrap();
+        let names = ["b", "i", "f", "s", "t"];
+        let key_names: Vec<&str> = keys.iter().map(|&k| names[k]).collect();
+        let mut expect: Vec<usize> = (0..view.num_rows()).collect();
+        expect.sort_by(|&x, &y| {
+            let ord = key_names
+                .iter()
+                .map(|k| {
+                    let c = view.column(k).unwrap();
+                    c.value(x).unwrap().total_cmp(&c.value(y).unwrap())
+                })
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal);
+            if desc { ord.reverse() } else { ord }
+        });
+        prop_assert_eq!(view.sorted_indices(&key_names, desc).unwrap(), expect);
+    }
+
+    #[test]
     fn a_push_onto_a_shared_column_leaves_other_holders_unchanged(
         rows in 0usize..150,
         null_pct in 0u32..60,
@@ -247,4 +278,21 @@ proptest! {
             prop_assert_eq!(col, &owned_column(col));
         }
     }
+}
+
+/// `t` with its Float column redrawn from values whose order `==` gets
+/// wrong: both zeros, NaN, infinities, and the odd null.
+fn with_special_floats(t: &Table, seed: u64) -> Table {
+    let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xf10a7);
+    let floats: Vec<Value> = (0..t.num_rows())
+        .map(|_| match rng.gen_range(0..8) {
+            0 => Value::Null,
+            k if k <= specials.len() => Value::Float(specials[k - 1]),
+            _ => Value::Float(rng.gen_range(-4..4) as f64),
+        })
+        .collect();
+    let mut columns = t.columns().to_vec();
+    columns[2] = Column::from_values(DataType::Float, &floats).unwrap();
+    Table::new(t.schema().clone(), columns).unwrap()
 }

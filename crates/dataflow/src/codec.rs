@@ -30,9 +30,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use toreador_data::buffer::StrBuffer;
 use toreador_data::column::{Column, Validity};
-use toreador_data::schema::Schema;
-use toreador_data::table::{Table, TableBuilder};
-use toreador_data::value::{Row, Value};
+use toreador_data::error::DataError;
+use toreador_data::schema::{Field, Schema};
+use toreador_data::table::Table;
+use toreador_data::value::{DataType, Row, Value};
 
 use crate::error::{FlowError, Result};
 
@@ -71,55 +72,85 @@ pub fn encode_value(v: &Value, buf: &mut BytesMut) {
     }
 }
 
-/// Decode one tagged value off the front of `buf`.
-pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
-    let short = || FlowError::Codec("truncated shuffle payload".to_owned());
-    if buf.remaining() < 1 {
-        return Err(short());
+/// One tagged cell, its string borrowed from the encoded bytes.
+enum Cell<'b> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'b str),
+    Ts(i64),
+}
+
+impl Cell<'_> {
+    fn data_type(&self) -> Option<DataType> {
+        match self {
+            Cell::Null => None,
+            Cell::Bool(_) => Some(DataType::Bool),
+            Cell::Int(_) => Some(DataType::Int),
+            Cell::Float(_) => Some(DataType::Float),
+            Cell::Str(_) => Some(DataType::Str),
+            Cell::Ts(_) => Some(DataType::Timestamp),
+        }
     }
-    let tag = buf.get_u8();
+
+    fn into_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(x) => Value::Float(x),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Ts(t) => Value::Timestamp(t),
+        }
+    }
+}
+
+fn truncated() -> FlowError {
+    FlowError::Codec("truncated shuffle payload".to_owned())
+}
+
+/// The next `n` bytes at `*pos`, advancing past them.
+fn take<'b>(bytes: &'b [u8], pos: &mut usize, n: usize) -> Result<&'b [u8]> {
+    let end = pos.checked_add(n).filter(|&e| e <= bytes.len());
+    let end = end.ok_or_else(truncated)?;
+    let out = &bytes[*pos..end];
+    *pos = end;
+    Ok(out)
+}
+
+fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    Ok(take(bytes, pos, N)?.try_into().expect("took N bytes"))
+}
+
+/// Decode the tagged cell at `*pos` and advance past it. The one reader
+/// of the value format: row, table and lane decoding all go through it.
+fn read_cell<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<Cell<'b>> {
+    let [tag] = take_array(bytes, pos)?;
     Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL => {
-            if buf.remaining() < 1 {
-                return Err(short());
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
-        TAG_INT => {
-            if buf.remaining() < 8 {
-                return Err(short());
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(short());
-            }
-            Value::Float(buf.get_f64_le())
-        }
+        TAG_NULL => Cell::Null,
+        TAG_BOOL => Cell::Bool(take_array::<1>(bytes, pos)?[0] != 0),
+        TAG_INT => Cell::Int(i64::from_le_bytes(take_array(bytes, pos)?)),
+        TAG_FLOAT => Cell::Float(f64::from_le_bytes(take_array(bytes, pos)?)),
         TAG_STR => {
-            if buf.remaining() < 4 {
-                return Err(short());
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(short());
-            }
-            let bytes = buf.copy_to_bytes(len);
-            Value::Str(
-                String::from_utf8(bytes.to_vec())
+            let len = u32::from_le_bytes(take_array(bytes, pos)?) as usize;
+            let raw = take(bytes, pos, len)?;
+            Cell::Str(
+                std::str::from_utf8(raw)
                     .map_err(|_| FlowError::Codec("invalid utf8 in shuffle payload".to_owned()))?,
             )
         }
-        TAG_TS => {
-            if buf.remaining() < 8 {
-                return Err(short());
-            }
-            Value::Timestamp(buf.get_i64_le())
-        }
+        TAG_TS => Cell::Ts(i64::from_le_bytes(take_array(bytes, pos)?)),
         other => return Err(FlowError::Codec(format!("unknown value tag {other}"))),
     })
+}
+
+/// Decode one tagged value off the front of `buf`.
+pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
+    let mut pos = 0;
+    let value = read_cell(buf, &mut pos)?.into_value();
+    buf.advance(pos);
+    Ok(value)
 }
 
 /// Encode a row (width-prefixed).
@@ -132,14 +163,13 @@ pub fn encode_row(row: &Row, buf: &mut BytesMut) {
 
 /// Decode one row.
 pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
-    if buf.remaining() < 2 {
-        return Err(FlowError::Codec("truncated shuffle payload".to_owned()));
-    }
-    let width = buf.get_u16_le() as usize;
+    let mut pos = 0;
+    let width = u16::from_le_bytes(take_array(buf, &mut pos)?) as usize;
     let mut row = Vec::with_capacity(width);
     for _ in 0..width {
-        row.push(decode_value(buf)?);
+        row.push(read_cell(buf, &mut pos)?.into_value());
     }
+    buf.advance(pos);
     Ok(row)
 }
 
@@ -240,17 +270,172 @@ pub fn encode_table(t: &Table, buf: &mut BytesMut) {
 
 /// Decode `count` rows of `schema` back into a table, rejecting trailing
 /// bytes — the inverse of [`encode_table`].
-pub fn decode_table(schema: &Schema, count: usize, mut bytes: Bytes) -> Result<Table> {
-    let mut builder = TableBuilder::with_capacity(schema.clone(), count);
+pub fn decode_table(schema: &Schema, count: usize, bytes: Bytes) -> Result<Table> {
+    decode_rows(schema, count, &bytes, "table")
+}
+
+/// Why a decoded cell cannot go into its column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reject {
+    /// A null in a non-nullable field.
+    Null,
+    /// A value of this type, which the field's type does not take.
+    Type(DataType),
+}
+
+impl Reject {
+    /// The error [`TableBuilder::push_row`] gives for this cell, so a
+    /// columnar decode fails exactly as a row-at-a-time one does.
+    ///
+    /// [`TableBuilder::push_row`]: toreador_data::table::TableBuilder::push_row
+    pub(crate) fn error(self, field: &Field) -> FlowError {
+        FlowError::Data(match self {
+            Reject::Null => {
+                DataError::Invalid(format!("null in non-nullable column {:?}", field.name))
+            }
+            Reject::Type(found) => DataError::TypeMismatch {
+                expected: field.data_type.name().to_owned(),
+                found: found.name().to_owned(),
+            },
+        })
+    }
+}
+
+/// The native values of one column under construction.
+enum Values<'b> {
+    Bool(Vec<bool>),
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Str(Vec<&'b str>),
+    Ts(Vec<i64>),
+}
+
+/// Builds one field's column from decoded cells, applying the coercion
+/// [`Value::coerce`] allows (an Int cell widens into a Float column).
+struct ColumnDecoder<'b> {
+    nullable: bool,
+    values: Values<'b>,
+    validity: Validity,
+}
+
+impl<'b> ColumnDecoder<'b> {
+    fn new(field: &Field, rows: usize) -> Self {
+        let values = match field.data_type {
+            DataType::Bool => Values::Bool(Vec::with_capacity(rows)),
+            DataType::Int => Values::Int(Vec::with_capacity(rows)),
+            DataType::Float => Values::Float(Vec::with_capacity(rows)),
+            DataType::Str => Values::Str(Vec::with_capacity(rows)),
+            DataType::Timestamp => Values::Ts(Vec::with_capacity(rows)),
+        };
+        ColumnDecoder {
+            nullable: field.nullable,
+            values,
+            validity: Validity::new(),
+        }
+    }
+
+    /// Append `cell`, or a null slot and the reason it does not fit.
+    fn push(&mut self, cell: Cell<'b>) -> Option<Reject> {
+        match (&mut self.values, cell) {
+            (Values::Bool(v), Cell::Bool(b)) => v.push(b),
+            (Values::Int(v), Cell::Int(i)) | (Values::Ts(v), Cell::Ts(i)) => v.push(i),
+            (Values::Float(v), Cell::Float(x)) => v.push(x),
+            (Values::Float(v), Cell::Int(i)) => v.push(i as f64),
+            (Values::Str(v), Cell::Str(s)) => v.push(s),
+            (values, other) => {
+                match values {
+                    Values::Bool(v) => v.push(false),
+                    Values::Int(v) | Values::Ts(v) => v.push(0),
+                    Values::Float(v) => v.push(0.0),
+                    Values::Str(v) => v.push(""),
+                }
+                self.validity.push(false);
+                return match other.data_type() {
+                    None => (!self.nullable).then_some(Reject::Null),
+                    Some(found) => Some(Reject::Type(found)),
+                };
+            }
+        }
+        self.validity.push(true);
+        None
+    }
+
+    fn finish(self) -> Column {
+        let validity = self.validity;
+        match self.values {
+            Values::Bool(v) => Column::Bool {
+                data: v.into(),
+                validity,
+            },
+            Values::Int(v) => Column::Int {
+                data: v.into(),
+                validity,
+            },
+            Values::Float(v) => Column::Float {
+                data: v.into(),
+                validity,
+            },
+            Values::Str(v) => Column::Str {
+                data: v.into_iter().collect(),
+                validity,
+            },
+            Values::Ts(v) => Column::Timestamp {
+                data: v.into(),
+                validity,
+            },
+        }
+    }
+}
+
+/// Decode `count` width-prefixed rows of `schema` straight into typed
+/// columns and reject trailing bytes (`what` names the stream in that
+/// error). It fails exactly where decoding each row and pushing it through
+/// a [`toreador_data::table::TableBuilder`] fails: a row's codec errors
+/// first, then a width mismatch, then its first null in a non-nullable
+/// field, then its first cell that does not coerce.
+pub(crate) fn decode_rows(
+    schema: &Schema,
+    count: usize,
+    bytes: &[u8],
+    what: &str,
+) -> Result<Table> {
+    let fields = schema.fields();
+    let mut columns: Vec<ColumnDecoder<'_>> = fields
+        .iter()
+        .map(|f| ColumnDecoder::new(f, count))
+        .collect();
+    let mut pos = 0;
     for _ in 0..count {
-        builder.push_row(decode_row(&mut bytes)?)?;
+        let width = u16::from_le_bytes(take_array(bytes, &mut pos)?) as usize;
+        if width != fields.len() {
+            for _ in 0..width {
+                read_cell(bytes, &mut pos)?;
+            }
+            return Err(FlowError::Data(DataError::LengthMismatch {
+                expected: fields.len(),
+                found: width,
+            }));
+        }
+        let mut null_at = None;
+        let mut type_at = None;
+        for (c, column) in columns.iter_mut().enumerate() {
+            match column.push(read_cell(bytes, &mut pos)?) {
+                Some(Reject::Null) => null_at = null_at.or(Some((c, Reject::Null))),
+                Some(reject) => type_at = type_at.or(Some((c, reject))),
+                None => {}
+            }
+        }
+        if let Some((c, reject)) = null_at.or(type_at) {
+            return Err(reject.error(&fields[c]));
+        }
     }
-    if bytes.has_remaining() {
-        return Err(FlowError::Codec(
-            "trailing bytes after decoding table".to_owned(),
-        ));
+    if pos != bytes.len() {
+        return Err(FlowError::Codec(format!(
+            "trailing bytes after decoding {what}"
+        )));
     }
-    Ok(builder.finish()?)
+    let columns = columns.into_iter().map(ColumnDecoder::finish).collect();
+    Ok(Table::new(schema.clone(), columns)?)
 }
 
 /// Encode one whole lane (`rows` cells, in row order) — the pager's
@@ -262,20 +447,57 @@ pub fn encode_lane(lane: &Lane<'_>, rows: usize, buf: &mut BytesMut) {
     }
 }
 
-/// Decode `rows` tagged cells back out of one lane extent — the inverse of
-/// [`encode_lane`]. Rejects trailing bytes for the same reason
-/// [`decode_table`] does: an extent is either exactly its lane or corrupt.
-pub fn decode_lane(rows: usize, mut bytes: Bytes) -> Result<Vec<Value>> {
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        out.push(decode_value(&mut bytes)?);
+/// Decode `rows` tagged cells of one lane extent — the inverse of
+/// [`encode_lane`] — straight into a column of `field`, rejecting trailing
+/// bytes for the same reason [`decode_table`] does: an extent is either
+/// exactly its lane or corrupt. Codec errors return at once; a cell that
+/// does not fit the field comes back as the first rejected row, because
+/// the pager reports it only after every lane of the run has decoded.
+pub(crate) fn decode_lane_column(
+    field: &Field,
+    rows: usize,
+    bytes: &[u8],
+) -> Result<(Column, Option<(usize, Reject)>)> {
+    let mut column = ColumnDecoder::new(field, rows);
+    let mut first = None;
+    let mut pos = 0;
+    for row in 0..rows {
+        if let Some(reject) = column.push(read_cell(bytes, &mut pos)?) {
+            first = first.or(Some((row, reject)));
+        }
     }
-    if bytes.has_remaining() {
+    lane_end(bytes, pos)?;
+    Ok((column.finish(), first))
+}
+
+/// Check the cells of a lane extent that has no field to decode into.
+pub(crate) fn skip_lane(rows: usize, bytes: &[u8]) -> Result<()> {
+    let mut pos = 0;
+    for _ in 0..rows {
+        read_cell(bytes, &mut pos)?;
+    }
+    lane_end(bytes, pos)
+}
+
+fn lane_end(bytes: &[u8], pos: usize) -> Result<()> {
+    if pos != bytes.len() {
         return Err(FlowError::Codec(
             "trailing bytes after decoding lane".to_owned(),
         ));
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Decode `rows` tagged cells of one lane extent as values: the reference
+/// the columnar lane decoder is checked against.
+#[cfg(test)]
+pub(crate) fn decode_lane(rows: usize, bytes: Bytes) -> Result<Vec<Value>> {
+    let mut pos = 0;
+    let values = (0..rows)
+        .map(|_| read_cell(&bytes, &mut pos).map(Cell::into_value))
+        .collect::<Result<Vec<_>>>()?;
+    lane_end(&bytes, pos)?;
+    Ok(values)
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +627,262 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::result::Result<(), String
     Ok(())
 }
 
+/// Encoded rows and lanes every decoder must reject, each with the error
+/// a row-at-a-time decode through `TableBuilder::push_row` gives for it.
+/// The table, shuffle and spill read-back tests all run these.
+#[cfg(test)]
+pub(crate) mod rejects {
+    use super::*;
+
+    /// A nullable Str field before a required Int field, so a type error
+    /// can sit in a column left of a null error.
+    pub(crate) fn schema() -> Schema {
+        Schema::new(vec![
+            Field::new("s", DataType::Str),
+            Field::required("k", DataType::Int),
+        ])
+        .unwrap()
+    }
+
+    pub(crate) fn cells(values: &[Value]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        for v in values {
+            encode_value(v, &mut buf);
+        }
+        buf.as_slice().to_vec()
+    }
+
+    fn row(values: &[Value]) -> Vec<u8> {
+        let mut out = (values.len() as u16).to_le_bytes().to_vec();
+        out.extend(cells(values));
+        out
+    }
+
+    fn s(v: &str) -> Value {
+        Value::Str(v.to_owned())
+    }
+
+    fn codec(msg: &str) -> FlowError {
+        FlowError::Codec(msg.to_owned())
+    }
+
+    fn truncated() -> FlowError {
+        codec("truncated shuffle payload")
+    }
+
+    fn bad_utf8() -> FlowError {
+        codec("invalid utf8 in shuffle payload")
+    }
+
+    fn null_k() -> FlowError {
+        FlowError::Data(DataError::Invalid(
+            "null in non-nullable column \"k\"".to_owned(),
+        ))
+    }
+
+    fn mismatch(expected: &str, found: &str) -> FlowError {
+        FlowError::Data(DataError::TypeMismatch {
+            expected: expected.to_owned(),
+            found: found.to_owned(),
+        })
+    }
+
+    /// A Str cell whose bytes are not UTF-8.
+    fn bad_str() -> Vec<u8> {
+        let mut out = vec![TAG_STR];
+        out.extend(2u32.to_le_bytes());
+        out.extend([0xff, 0xfe]);
+        out
+    }
+
+    /// `(case, rows, row stream, error)` for [`schema`]. A trailing-bytes
+    /// error names its stream, so it is left to each decoder's own test.
+    pub(crate) fn rows() -> Vec<(&'static str, usize, Vec<u8>, FlowError)> {
+        let good = row(&[s("abc"), Value::Int(1)]);
+        let with_tail = |tail: Vec<u8>| [good.clone(), tail].concat();
+        let raw_row = |parts: &[Vec<u8>]| [2u16.to_le_bytes().to_vec(), parts.concat()].concat();
+        vec![
+            (
+                "truncated payload",
+                1,
+                good[..good.len() - 1].to_vec(),
+                truncated(),
+            ),
+            ("truncated width", 2, with_tail(vec![2]), truncated()),
+            (
+                "unknown tag",
+                1,
+                raw_row(&[cells(&[s("a")]), vec![99]]),
+                codec("unknown value tag 99"),
+            ),
+            (
+                "bad utf-8",
+                1,
+                raw_row(&[bad_str(), cells(&[Value::Int(1)])]),
+                bad_utf8(),
+            ),
+            (
+                "wrong row width",
+                1,
+                row(&[s("a"), Value::Int(1), Value::Int(2)]),
+                FlowError::Data(DataError::LengthMismatch {
+                    expected: 2,
+                    found: 3,
+                }),
+            ),
+            (
+                "codec error inside a too-wide row",
+                1,
+                [
+                    3u16.to_le_bytes().to_vec(),
+                    cells(&[s("a"), Value::Int(1)]),
+                    vec![99],
+                ]
+                .concat(),
+                codec("unknown value tag 99"),
+            ),
+            (
+                "null in a required column",
+                1,
+                row(&[s("a"), Value::Null]),
+                null_k(),
+            ),
+            (
+                "str cell in an int column",
+                1,
+                row(&[s("a"), s("b")]),
+                mismatch("Int", "Str"),
+            ),
+            (
+                "int cell in a str column",
+                1,
+                row(&[Value::Int(5), Value::Int(1)]),
+                mismatch("Str", "Int"),
+            ),
+            (
+                "null beats an earlier type error",
+                1,
+                row(&[Value::Int(5), Value::Null]),
+                null_k(),
+            ),
+            (
+                "codec error beats an earlier type error",
+                1,
+                raw_row(&[cells(&[Value::Int(5)]), vec![99]]),
+                codec("unknown value tag 99"),
+            ),
+            (
+                "error in the second row",
+                2,
+                with_tail(row(&[s("a"), s("b")])),
+                mismatch("Int", "Str"),
+            ),
+        ]
+    }
+
+    /// A spilled run's case name, row count, lane extents and the rows
+    /// (or error) its read-back gives.
+    pub(crate) type LaneCase = (
+        &'static str,
+        usize,
+        Vec<Vec<u8>>,
+        std::result::Result<usize, FlowError>,
+    );
+
+    /// The [`LaneCase`]s for [`schema`].
+    pub(crate) fn lanes() -> Vec<LaneCase> {
+        let strs = cells(&[s("a"), s("")]);
+        let ints = cells(&[Value::Int(1), Value::Int(2)]);
+        vec![
+            ("well formed", 2, vec![strs.clone(), ints.clone()], Ok(2)),
+            (
+                "truncated payload",
+                2,
+                vec![strs[..strs.len() - 1].to_vec(), ints.clone()],
+                Err(truncated()),
+            ),
+            (
+                "unknown tag",
+                2,
+                vec![strs.clone(), [cells(&[Value::Int(1)]), vec![99]].concat()],
+                Err(codec("unknown value tag 99")),
+            ),
+            (
+                "bad utf-8",
+                2,
+                vec![[bad_str(), cells(&[s("b")])].concat(), ints.clone()],
+                Err(bad_utf8()),
+            ),
+            (
+                "trailing bytes in a lane",
+                2,
+                vec![strs.clone(), [ints.clone(), vec![0]].concat()],
+                Err(codec("trailing bytes after decoding lane")),
+            ),
+            (
+                "wrong row width",
+                2,
+                vec![strs.clone(), ints.clone(), ints.clone()],
+                Err(FlowError::Data(DataError::LengthMismatch {
+                    expected: 2,
+                    found: 3,
+                })),
+            ),
+            (
+                "codec error in a lane past the schema",
+                2,
+                vec![strs.clone(), ints.clone(), vec![99]],
+                Err(codec("unknown value tag 99")),
+            ),
+            (
+                "wrong width of no rows",
+                0,
+                vec![vec![], vec![], vec![]],
+                Ok(0),
+            ),
+            (
+                "null in a required column",
+                2,
+                vec![strs.clone(), cells(&[Value::Int(1), Value::Null])],
+                Err(null_k()),
+            ),
+            (
+                "str cell in an int column",
+                2,
+                vec![strs.clone(), cells(&[s("x"), Value::Int(2)])],
+                Err(mismatch("Int", "Str")),
+            ),
+            (
+                "null beats a type error in the same row",
+                2,
+                vec![
+                    cells(&[Value::Int(5), s("b")]),
+                    cells(&[Value::Null, Value::Int(2)]),
+                ],
+                Err(null_k()),
+            ),
+            (
+                "an earlier row wins over a later null",
+                2,
+                vec![
+                    cells(&[Value::Int(5), s("b")]),
+                    cells(&[Value::Int(1), Value::Null]),
+                ],
+                Err(mismatch("Str", "Int")),
+            ),
+            (
+                "a codec error in a later lane beats a type error",
+                2,
+                vec![
+                    cells(&[Value::Int(5), s("b")]),
+                    [cells(&[Value::Int(1)]), vec![99]].concat(),
+                ],
+                Err(codec("unknown value tag 99")),
+            ),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +978,47 @@ mod tests {
             }
             assert!(decode_lane(t.num_rows() - 1, bytes.clone()).is_err());
             assert!(decode_lane(t.num_rows() + 1, bytes).is_err());
+        }
+    }
+
+    #[test]
+    fn decode_table_rejects_what_a_row_decode_rejects() {
+        let schema = rejects::schema();
+        for (case, rows, bytes, err) in rejects::rows() {
+            assert_eq!(
+                decode_table(&schema, rows, Bytes::from(bytes)),
+                Err(err),
+                "{case}"
+            );
+        }
+        let mut good = BytesMut::new();
+        encode_row(&vec![Value::Str("abc".into()), Value::Int(1)], &mut good);
+        let good = good.freeze();
+        assert_eq!(
+            decode_table(&schema, 1, good.clone()).unwrap().num_rows(),
+            1
+        );
+        let tail = Bytes::from([&good[..], &[0]].concat());
+        assert_eq!(
+            decode_table(&schema, 1, tail),
+            Err(FlowError::Codec(
+                "trailing bytes after decoding table".to_owned()
+            ))
+        );
+    }
+
+    #[test]
+    fn columnar_lane_decode_matches_the_value_decode() {
+        let t = random_table(90, 4, 13);
+        for ((lane, col), field) in lanes(&t).iter().zip(t.columns()).zip(t.schema().fields()) {
+            let mut buf = BytesMut::new();
+            encode_lane(lane, t.num_rows(), &mut buf);
+            let (decoded, reject) =
+                decode_lane_column(field, t.num_rows(), buf.as_slice()).unwrap();
+            assert_eq!(reject, None);
+            assert_eq!(&decoded, col);
+            let values = decode_lane(t.num_rows(), buf.freeze()).unwrap();
+            assert_eq!(decoded.iter_values().collect::<Vec<_>>(), values);
         }
     }
 

@@ -53,6 +53,7 @@
 //! assert!(result.metrics.total_shuffle_bytes() > 0);
 //! ```
 
+pub mod aggregate;
 pub mod checkpoint;
 pub mod codec;
 pub mod error;

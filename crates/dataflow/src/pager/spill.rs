@@ -20,14 +20,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 
 use toreador_store::io::io_for;
 
-use toreador_data::table::{Table, TableBuilder};
-use toreador_data::value::{Row, Value};
+use toreador_data::error::DataError;
+use toreador_data::schema::Schema;
+use toreador_data::table::Table;
 
-use crate::codec::{decode_lane, encode_lane, lanes};
+use crate::codec::{decode_lane_column, encode_lane, lanes, skip_lane, Reject};
 use crate::error::{FlowError, Result};
 use crate::trace::TraceJournal;
 
@@ -109,6 +110,23 @@ impl SpillManager {
     /// `SpillStarted` event — it knows which operator and partition the
     /// run belongs to.
     pub fn spill_table(&self, t: &Table, journal: &TraceJournal) -> Result<SpillHandle> {
+        let rows = t.num_rows();
+        let encoded = lanes(t).into_iter().map(|lane| {
+            let mut buf = BytesMut::new();
+            encode_lane(&lane, rows, &mut buf);
+            buf
+        });
+        self.spill_lanes(t.schema(), rows, encoded, journal)
+    }
+
+    /// Spill `rows` rows of `schema` given as one encoded extent per lane.
+    fn spill_lanes(
+        &self,
+        schema: &Schema,
+        rows: usize,
+        encoded: impl Iterator<Item = BytesMut>,
+        journal: &TraceJournal,
+    ) -> Result<SpillHandle> {
         io_for(&self.dir).create_dir_all(&self.dir).map_err(|e| {
             FlowError::Spill(format!("create spill dir {}: {e}", self.dir.display()))
         })?;
@@ -120,7 +138,7 @@ impl SpillManager {
         // pool and remove its `.tmp` — a failed spill (ENOSPC, EIO) leaves
         // no orphan for the next sweep and no dangling pool entry.
         let payload_bytes = self
-            .write_run(t, id, journal)
+            .write_run(schema, rows, encoded, id, journal)
             .and_then(|bytes| file.finalize().map(|_| bytes))
             .map_err(|e| {
                 self.pool.drop_file(id);
@@ -130,24 +148,28 @@ impl SpillManager {
         Ok(SpillHandle {
             file: id,
             path,
-            rows: t.num_rows(),
+            rows,
             bytes: payload_bytes,
         })
     }
 
-    /// Encode `t` lane by lane into pages of file `id`, flush, and return
-    /// the total encoded payload bytes. Split out of
-    /// [`SpillManager::spill_table`] so its caller can clean up the pool
+    /// Write `rows` rows of `schema`, given as one encoded extent per lane
+    /// (produced one lane at a time), into pages of file `id`, flush, and
+    /// return the total encoded payload bytes. Split out of
+    /// [`SpillManager::spill_lanes`] so its caller can clean up the pool
     /// registration and temp file on any error.
-    fn write_run(&self, t: &Table, id: FileId, journal: &TraceJournal) -> Result<u64> {
-        let rows = t.num_rows();
-        let table_lanes = lanes(t);
-        let mut extents = Vec::with_capacity(table_lanes.len());
+    fn write_run(
+        &self,
+        schema: &Schema,
+        rows: usize,
+        encoded: impl Iterator<Item = BytesMut>,
+        id: FileId,
+        journal: &TraceJournal,
+    ) -> Result<u64> {
+        let mut extents = Vec::new();
         let mut next_page: u32 = 1; // page 0 is the directory
         let mut payload_bytes = 0u64;
-        for lane in &table_lanes {
-            let mut buf = BytesMut::new();
-            encode_lane(lane, rows, &mut buf);
+        for buf in encoded {
             let bytes = buf.len() as u64;
             let first_page = next_page;
             let mut pages = 0u32;
@@ -165,7 +187,7 @@ impl SpillManager {
         }
         let directory = PageDirectory {
             rows,
-            schema: t.schema().clone(),
+            schema: schema.clone(),
             lanes: extents,
         };
         self.pool.write(id, 0, directory.to_payload()?, journal)?;
@@ -174,19 +196,27 @@ impl SpillManager {
     }
 
     /// Read a spilled run back: pin the directory, reassemble each lane
-    /// from its extent pages, decode, and rebuild the table row by row —
-    /// in the exact row order it was spilled with.
+    /// from its extent pages and decode it straight into its column, in
+    /// the exact row order it was spilled with. Errors come out as a row
+    /// by row rebuild would give them: every lane's codec errors first,
+    /// then a lane count that does not match the schema, then the first
+    /// row holding a cell its field rejects (a null in a non-nullable
+    /// field before a cell of the wrong type).
     pub fn read_back(&self, handle: &SpillHandle, journal: &TraceJournal) -> Result<Table> {
         let directory = {
             let page = self.pool.pin(handle.file, 0, journal)?;
             PageDirectory::from_payload(&page)?
         };
-        let mut columns: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(directory.lanes.len());
-        for extent in &directory.lanes {
-            let mut buf = BytesMut::with_capacity(extent.bytes as usize);
+        let fields = directory.schema.fields();
+        let mut columns = Vec::with_capacity(fields.len());
+        // The first rejected cell in row order, a null before a type
+        // error within a row, the leftmost lane on a tie: (rank, lane, why).
+        let mut first_reject: Option<((usize, bool), usize, Reject)> = None;
+        for (lane, extent) in directory.lanes.iter().enumerate() {
+            let mut buf = Vec::with_capacity(extent.bytes as usize);
             for p in 0..extent.pages {
                 let page = self.pool.pin(handle.file, extent.first_page + p, journal)?;
-                buf.put_slice(&page);
+                buf.extend_from_slice(&page);
             }
             if buf.len() as u64 != extent.bytes {
                 return Err(FlowError::Spill(format!(
@@ -196,17 +226,32 @@ impl SpillManager {
                     extent.bytes
                 )));
             }
-            columns.push(decode_lane(directory.rows, buf.freeze())?.into_iter());
+            let Some(field) = fields.get(lane) else {
+                skip_lane(directory.rows, &buf)?;
+                continue;
+            };
+            let (column, reject) = decode_lane_column(field, directory.rows, &buf)?;
+            if let Some((row, reject)) = reject {
+                let rank = (row, reject != Reject::Null);
+                if first_reject.map_or(true, |(first, _, _)| rank < first) {
+                    first_reject = Some((rank, lane, reject));
+                }
+            }
+            columns.push(column);
         }
-        let mut builder = TableBuilder::with_capacity(directory.schema.clone(), directory.rows);
-        for _ in 0..directory.rows {
-            let row: Row = columns
-                .iter_mut()
-                .map(|c| c.next().expect("extent length matches row count"))
-                .collect();
-            builder.push_row(row)?;
+        if directory.lanes.len() != fields.len() {
+            if directory.rows == 0 {
+                return Ok(Table::empty(directory.schema));
+            }
+            return Err(FlowError::Data(DataError::LengthMismatch {
+                expected: fields.len(),
+                found: directory.lanes.len(),
+            }));
         }
-        Ok(builder.finish()?)
+        if let Some((_, lane, reject)) = first_reject {
+            return Err(reject.error(&fields[lane]));
+        }
+        Ok(Table::new(directory.schema, columns)?)
     }
 
     /// A spilled run was merged into its partition's output: drop its
@@ -247,6 +292,7 @@ mod tests {
 
     use std::fs;
 
+    use bytes::BufMut;
     use toreador_data::generate;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -270,6 +316,32 @@ mod tests {
         manager.release(handle);
         drop(manager);
         assert!(!dir.exists(), "drop removes the spill dir");
+    }
+
+    #[test]
+    fn read_back_rejects_what_a_row_rebuild_rejects() {
+        let dir = temp_dir("rejects");
+        let manager = SpillManager::new(1 << 20, dir.clone());
+        let journal = TraceJournal::new();
+        let schema = crate::codec::rejects::schema();
+        for (case, rows, lanes, expect) in crate::codec::rejects::lanes() {
+            let encoded = lanes.into_iter().map(|l| {
+                let mut buf = BytesMut::new();
+                buf.put_slice(&l);
+                buf
+            });
+            let handle = manager
+                .spill_lanes(&schema, rows, encoded, &journal)
+                .unwrap();
+            let back = manager.read_back(&handle, &journal);
+            match expect {
+                Ok(rows) => assert_eq!(back.map(|t| t.num_rows()), Ok(rows), "{case}"),
+                Err(err) => assert_eq!(back.map(|t| t.num_rows()), Err(err), "{case}"),
+            }
+            manager.release(handle);
+        }
+        drop(manager);
+        assert!(!dir.exists());
     }
 
     #[test]

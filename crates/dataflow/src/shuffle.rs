@@ -4,7 +4,8 @@
 //! same partition — the data-movement step behind aggregates, joins and
 //! `distinct`. In Spark this crosses the network; here it crosses a byte
 //! buffer: rows are *encoded* into per-target [`bytes::Bytes`] buffers and
-//! *decoded* on the other side. Round-tripping through bytes keeps the code
+//! *decoded* on the other side straight into typed columns, with no row of
+//! `Value`s built on either side. Round-tripping through bytes keeps the code
 //! path honest (costs scale with row width, exactly like a real shuffle)
 //! and gives the metrics layer true shuffle-byte counts. The byte format
 //! itself lives in [`crate::codec`], shared with checkpointing and the
@@ -22,11 +23,11 @@ use bytes::BytesMut;
 
 use toreador_data::column::Column;
 use toreador_data::schema::Schema;
-use toreador_data::table::{Table, TableBuilder};
+use toreador_data::table::Table;
 use toreador_data::value::Row;
 
 pub use crate::codec::{decode_row, decode_table, encode_row, encode_table};
-use crate::codec::{encode_row_at, lanes};
+use crate::codec::{decode_rows, encode_row_at, lanes};
 use crate::error::{FlowError, Result};
 use crate::pager::{SpillManager, SPILL_OP_SHUFFLE};
 use crate::trace::{TraceEventKind, TraceJournal};
@@ -132,17 +133,28 @@ pub fn column_hash_codes(col: &Column) -> Vec<u64> {
 /// the bound key columns. Equal to calling [`route`] on every materialised
 /// row, but touches only the key columns' native lanes.
 pub fn route_rows(t: &Table, key_idx: &[usize], targets: usize) -> Result<Vec<u32>> {
-    let mut acc = vec![ROUTE_SEED; t.num_rows()];
-    for &k in key_idx {
-        let codes = column_hash_codes(t.column_at(k).map_err(FlowError::Data)?);
-        for (h, code) in acc.iter_mut().zip(codes) {
-            *h = h.rotate_left(5) ^ code;
-        }
-    }
-    Ok(acc
+    let keys = key_idx
+        .iter()
+        .map(|&k| t.column_at(k))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    Ok(key_hashes(&keys, t.num_rows())
         .into_iter()
         .map(|h| (h % targets as u64) as u32)
         .collect())
+}
+
+/// The combined key hash [`route`] takes modulo the target count, for
+/// every row of `keys` (columns of `rows` rows each). Rows whose keys are
+/// group-equal get equal hashes, which is what both routing and the
+/// aggregation kernel's group table rely on.
+pub(crate) fn key_hashes(keys: &[&Column], rows: usize) -> Vec<u64> {
+    let mut acc = vec![ROUTE_SEED; rows];
+    for col in keys {
+        for (h, code) in acc.iter_mut().zip(column_hash_codes(col)) {
+            *h = h.rotate_left(5) ^ code;
+        }
+    }
+    acc
 }
 
 /// Mean encoded row width over a small prefix sample, used to pre-size the
@@ -180,21 +192,6 @@ impl ShuffleOutput {
     pub fn rows_moved(&self) -> u64 {
         self.partitions.iter().map(|p| p.num_rows() as u64).sum()
     }
-}
-
-/// Decode one target's complete buffer back into a table.
-fn decode_buffer(schema: &Schema, buf: BytesMut, count: usize) -> Result<Table> {
-    let mut bytes = buf.freeze();
-    let mut builder = TableBuilder::with_capacity(schema.clone(), count);
-    for _ in 0..count {
-        builder.push_row(decode_row(&mut bytes)?)?;
-    }
-    if !bytes.is_empty() {
-        return Err(FlowError::Codec(
-            "trailing bytes after decoding shuffle".to_owned(),
-        ));
-    }
-    Ok(builder.finish()?)
 }
 
 /// Redistribute all `inputs` rows into `targets` partitions keyed by the
@@ -347,7 +344,7 @@ pub fn shuffle_spillable(
     let bytes_moved = tail_bytes + spilled_bytes;
     let mut partitions = Vec::with_capacity(targets);
     for (target, (buf, count)) in buffers.into_iter().zip(counts).enumerate() {
-        let tail = decode_buffer(schema, buf, count)?;
+        let tail = decode_rows(schema, count, buf.as_slice(), "shuffle")?;
         let runs = std::mem::take(&mut spilled[target]);
         if runs.is_empty() {
             partitions.push(tail);
@@ -409,7 +406,7 @@ fn spill_largest(
     counts[target] = 0;
     *buffered -= bytes as usize;
     *spilled_bytes += bytes;
-    let chunk = decode_buffer(schema, buf, count)?;
+    let chunk = decode_rows(schema, count, buf.as_slice(), "shuffle")?;
     let handle = manager.spill_table(&chunk, journal)?;
     journal.record(TraceEventKind::SpillStarted {
         op: SPILL_OP_SHUFFLE.to_owned(),
@@ -510,6 +507,27 @@ mod tests {
             let mut partial = full.slice(..cut);
             assert!(decode_row(&mut partial).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    #[test]
+    fn shuffle_decode_rejects_what_a_row_decode_rejects() {
+        let schema = crate::codec::rejects::schema();
+        for (case, rows, bytes, err) in crate::codec::rejects::rows() {
+            assert_eq!(
+                decode_rows(&schema, rows, &bytes, "shuffle"),
+                Err(err),
+                "{case}"
+            );
+        }
+        let mut buf = BytesMut::new();
+        encode_row(&vec![Value::Str("a".into()), Value::Int(1)], &mut buf);
+        buf.put_u8(0);
+        assert_eq!(
+            decode_rows(&schema, 1, buf.as_slice(), "shuffle"),
+            Err(FlowError::Codec(
+                "trailing bytes after decoding shuffle".to_owned()
+            ))
+        );
     }
 
     #[test]
